@@ -1,5 +1,5 @@
 //! Run-artifact collection (metrics, traces, events, manifest) and the
-//! figure binaries' Monte Carlo overlay column.
+//! figure scenarios' Monte Carlo overlay column.
 
 use crate::opts::RunOpts;
 use crate::CAPACITY;
@@ -93,7 +93,7 @@ impl RunArtifacts {
     }
 }
 
-/// Violation level of the figure binaries' simulation overlay: the
+/// Violation level of the figure scenarios' simulation overlay: the
 /// analytical figures use ε = 10⁻⁹, which no direct simulation reaches,
 /// so the overlay reports the simulated `q(1 − 10⁻³)` — a lower
 /// reference point every valid ε = 10⁻⁹ bound must exceed.
@@ -126,7 +126,7 @@ pub fn overlay_report(
 }
 
 /// Formats the merged simulated `q(1 − OVERLAY_EPS)` plus its
-/// across-replication spread for the figure binaries' `--sim` overlay
+/// across-replication spread for the figure scenarios' `--sim` overlay
 /// column (see [`overlay_report`]).
 pub fn sim_overlay(opts: &RunOpts, n_through: usize, n_cross: usize, hops: usize) -> String {
     let mut report = overlay_report(opts, n_through, n_cross, hops);

@@ -8,11 +8,11 @@
 //! for the duration of the run), the optional simulation overlay, and
 //! the telemetry artifacts of [`RunArtifacts`].
 //!
-//! The figure binaries in `nc-bench` and the `linksched` CLI are thin
-//! wrappers over shipped scenario files (`examples/scenarios/*.json`);
-//! this crate is also their single home for the previously duplicated
-//! helpers ([`tandem`], [`flows_for_utilization`], [`parse_sched`],
-//! [`RunOpts`]).
+//! Every `linksched` command is a thin wrapper over a scenario; the
+//! paper's figures are the shipped files in `examples/scenarios/`, run
+//! with `linksched run`. This crate is also the single home of the
+//! shared helpers ([`tandem`], [`flows_for_utilization`],
+//! [`parse_sched`], [`RunOpts`]).
 //!
 //! # Quickstart
 //!
@@ -38,7 +38,6 @@
 #![cfg_attr(test, allow(clippy::unwrap_used))]
 
 mod artifacts;
-pub mod bench_harness;
 mod engine;
 mod error;
 mod experiments;

@@ -35,7 +35,8 @@ pub struct SimDefaults {
     pub reps: usize,
     /// Default slots per replication.
     pub slots: u64,
-    /// Default master seed; `None` keeps the binaries' fixed default.
+    /// Default master seed; `None` keeps the fixed default of
+    /// [`RunOpts::new`](crate::RunOpts::new).
     pub seed: Option<u64>,
 }
 

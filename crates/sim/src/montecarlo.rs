@@ -291,7 +291,7 @@ impl MonteCarlo {
     /// shard. Shards are merged in replication order — like the delay
     /// statistics, the merged metrics do not depend on the thread
     /// count. The engine adds its own `mc_*` series (replication
-    /// timings, throughput, per-worker utilization) on top.
+    /// timings, wall time, per-worker busy time) on top.
     pub fn run_instrumented<F>(&self, job: F) -> MonteCarloReport
     where
         F: Fn(usize, u64) -> (DelayStats, MetricSet) + Sync,
@@ -400,19 +400,16 @@ impl MonteCarlo {
         if panicked > 0 {
             metrics.counter_add("mc_replications_panicked_total", &[], panicked as u64);
         }
+        // Wall and busy time are histogram observations, one per run:
+        // their `_sum`s then add up over every run merged into the same
+        // set (e.g. the cells of a sweep), and utilization and
+        // throughput over the whole merge are ratios of these totals.
         metrics.gauge_set("mc_workers", &[], workers as f64);
-        metrics.gauge_set("mc_wall_seconds", &[], wall);
+        metrics.observe("mc_wall_seconds", &[], wall);
         metrics.histogram_merge("mc_replication_seconds", &[], &rep_seconds);
-        if wall > 0.0 {
-            metrics.gauge_set("mc_throughput_reps_per_second", &[], self.reps as f64 / wall);
-        }
         for (w, b) in busy.into_inner().expect("busy mutex poisoned").iter().enumerate() {
             let idx = w.to_string();
-            let labels: [(&str, &str); 1] = [("worker", idx.as_str())];
-            metrics.gauge_set("mc_worker_busy_seconds", &labels, *b);
-            if wall > 0.0 {
-                metrics.gauge_set("mc_worker_utilization_ratio", &labels, *b / wall);
-            }
+            metrics.observe("mc_worker_busy_seconds", &[("worker", idx.as_str())], *b);
         }
         Ok(MonteCarloReport { per_rep, merged, metrics, resumed, panicked })
     }
@@ -740,6 +737,32 @@ mod tests {
         assert_eq!(a.metrics.counter_value("mc_replications_total", &[]), 5);
         assert!(a.metrics.get("mc_replication_seconds", &[]).is_some());
         assert!(a.metrics.get("mc_worker_busy_seconds", &[("worker", "0")]).is_some());
+    }
+
+    #[cfg(feature = "telemetry")]
+    #[test]
+    fn worker_time_adds_up_over_cells() {
+        // Two cells of one run, merged the way the scenario engine
+        // merges each cell into the run's metrics.
+        let cell = |seed| MonteCarlo::new(4, 2_000, seed).threads(2).run(cfg()).metrics;
+        let cells = [cell(1), cell(2)];
+        let mut run = MetricSet::new();
+        for c in &cells {
+            run.merge(c);
+        }
+        let sum = |m: &MetricSet, name: &str, labels: &[(&str, &str)]| match m.get(name, labels) {
+            Some(nc_telemetry::MetricValue::Histogram(h)) => (h.sum(), h.count()),
+            other => panic!("`{name}` {labels:?} is not a histogram: {other:?}"),
+        };
+        for series in [("mc_wall_seconds", &[][..]), ("mc_worker_busy_seconds", &[("worker", "0")])]
+        {
+            let (total, n) = sum(&run, series.0, series.1);
+            let (a, b) = (sum(&cells[0], series.0, series.1), sum(&cells[1], series.0, series.1));
+            assert_eq!(n, 2, "{series:?}: one observation per cell");
+            assert_eq!(total, a.0 + b.0, "{series:?}: run total is the sum over its cells");
+            assert!(a.0 > 0.0 && b.0 > 0.0, "{series:?}: every cell takes time");
+        }
+        assert_eq!(run.get("mc_workers", &[]), Some(&nc_telemetry::MetricValue::Gauge(2.0)));
     }
 
     #[test]

@@ -3,8 +3,9 @@
 //! produce bitwise-identical merged `DelayStats`.
 //!
 //! The compile-time half of the guarantee (the `telemetry` feature
-//! erased entirely) is covered by the artifact tests in `nc-bench`,
-//! which diff the `validate` stdout across feature modes.
+//! erased entirely) is covered by the root `tests/artifacts.rs`, run
+//! with and without default features, and by the CI step that diffs
+//! the `validate` scenario's stdout across feature modes.
 
 use nc_sim::{MonteCarlo, SchedulerKind, SimConfig};
 use nc_traffic::Mmoo;

@@ -11,11 +11,12 @@
 //! ```
 //!
 //! Every command builds a [`nc_scenario::Scenario`] and runs it through
-//! [`nc_scenario::Engine`] — the same code path as the figure binaries
-//! — so the analysis, the Monte Carlo overlay, the Eq. (38) solver memo
-//! cache, and the telemetry artifacts behave identically everywhere.
-//! `run` executes a declarative scenario file (see
-//! `examples/scenarios/`).
+//! [`nc_scenario::Engine`], so the analysis, the Monte Carlo overlay,
+//! the Eq. (38) solver memo cache, and the telemetry artifacts behave
+//! identically everywhere. `run` executes a declarative scenario file
+//! (see `examples/scenarios/`); it is the one way to regenerate the
+//! paper's figures (`fig2.json`, `fig3.json`, `fig4.json`) and the
+//! validation and ablation tables.
 //!
 //! Units follow the paper: capacity in kb per 1 ms slot (= Mbps),
 //! delays in ms.
@@ -50,7 +51,6 @@ fn main() -> ExitCode {
             run_engine(scenario, opts.run_opts())
         }
         "run" => cmd_run(&args[1..]),
-        "bench" => cmd_bench(&args[1..]),
         "--help" | "-h" | "help" => {
             println!("{USAGE}");
             ExitCode::SUCCESS
@@ -105,27 +105,6 @@ fn cmd_run(args: &[String]) -> ExitCode {
     run_engine(scenario, opts)
 }
 
-/// `linksched bench [options]`: the pinned perf-trajectory suite.
-/// Exit codes: 2 for a flag error, 6 for a runtime failure (e.g. the
-/// report cannot be written), 1 for a `--perf-guard` regression.
-fn cmd_bench(args: &[String]) -> ExitCode {
-    let opts = match nc_scenario::bench_harness::BenchOpts::parse(args.to_vec()) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("error: {e}\n\n{}", nc_scenario::bench_harness::BENCH_USAGE);
-            return ExitCode::from(2);
-        }
-    };
-    match nc_scenario::bench_harness::run(&opts) {
-        Ok(report) if report.guard_ok == Some(false) => ExitCode::from(1),
-        Ok(_) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("error: {e}");
-            ExitCode::from(6)
-        }
-    }
-}
-
 const USAGE: &str = "\
 linksched — end-to-end delay bounds for link schedulers on long paths
 (reproduction of Liebeherr/Ghiassi-Farrokhfal/Burchard, ICDCS 2010)
@@ -138,8 +117,6 @@ USAGE:
                        [--slots N] [--metrics-out P] [--trace-out P]
                        [--events-out P] [--manifest-out P] [--progress]
                        [--checkpoint P] [--checkpoint-every N] [--resume]
-    linksched bench    [--out P] [--smoke] [--reps N] [--warmup N]
-                       [--threads N] [--filter S] [--perf-guard]
 
 OPTIONS:
     --capacity C       link capacity in Mbps (= kb/ms)          [default: 100]
@@ -156,12 +133,9 @@ OPTIONS:
     --cross-max NC     largest cross-flow count (sweep)         [default: 500]
 
 `run` executes a declarative scenario file (see examples/scenarios/)
-through the same engine as the figure binaries, including the solver
-memo cache and the telemetry artifact outputs.
-
-`bench` times a pinned suite of analysis-sweep, min-plus-kernel, and
-simulator workloads and writes median + IQR wall times plus telemetry
-op counts to BENCH_5.json (see EXPERIMENTS.md).
+through the same engine as every other command, including the solver
+memo cache and the telemetry artifact outputs. The paper's figures are
+`run examples/scenarios/{fig2,fig3,fig4}.json`.
 
 Traffic is the paper's Markov-modulated on-off source: 1.5 Mbps peak,
 ≈0.15 Mbps mean per flow.";

@@ -10,10 +10,13 @@
 //!
 //! Small purpose-built grids keep the fast tests fast; the shipped
 //! full-size Fig. 3 scenario has an `#[ignore]`d variant for the
-//! release CI step.
+//! release CI step, next to an `#[ignore]`d wall-clock guard that the
+//! 2-thread sweep is not slower than the serial one.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
+use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::time::{Duration, Instant};
 
 fn repo_path(rel: &str) -> String {
     format!("{}/{rel}", env!("CARGO_MANIFEST_DIR"))
@@ -146,10 +149,83 @@ fn cross_sweep_is_thread_invariant() {
     }
 }
 
+/// Held by each `#[ignore]`d test: they load every CPU, and run side
+/// by side (the harness default) they would skew the perf guard.
+static CPU_BOUND: Mutex<()> = Mutex::new(());
+
+fn exclusive() -> MutexGuard<'static, ()> {
+    CPU_BOUND.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// Full-size Fig. 3 at 1 vs 8 threads — the release-CI variant of the
 /// fast grids above (minutes of analysis).
 #[test]
 #[ignore = "full-size figure scenario; run in the release CI step"]
 fn fig3_full_is_thread_invariant() {
+    let _exclusive = exclusive();
     assert_thread_invariant(&repo_path("examples/scenarios/fig3.json"), "fig3 (mix_sweep)");
+}
+
+/// Noise margin of the perf guard: the 2-thread sweep's *fastest* run
+/// may be at most this factor slower than the serial sweep's fastest.
+/// Minima (not medians) because they are the robust estimator under
+/// scheduler noise on shared CI machines; the margin absorbs the
+/// residual jitter.
+const GUARD_MARGIN: f64 = 1.15;
+
+/// The fastest of 3 timed runs of `linksched run <path> --threads N`,
+/// after 1 warm-up run.
+fn fastest_run(path: &str, threads: usize) -> Duration {
+    stdout_at_threads(path, threads);
+    (0..3)
+        .map(|_| {
+            let t0 = Instant::now();
+            stdout_at_threads(path, threads);
+            t0.elapsed()
+        })
+        .min()
+        .expect("three timed runs")
+}
+
+/// Perf guard: the smoke-size Fig. 3 grid (H ∈ {2, 5}, mix 25/50/75 %,
+/// U = 50 %, ε = 1e-6) must not run slower at 2 threads than at 1.
+/// On a single CPU the 2 threads merely time-slice the same work, so
+/// the property is not observable there: the test passes and prints
+/// the timings.
+#[test]
+#[ignore = "wall-clock perf guard; run in the release CI step"]
+fn two_thread_fig3_sweep_is_not_slower_than_serial() {
+    let _exclusive = exclusive();
+    let scratch = Scratch::new("perf-guard");
+    let path = scratch.write(
+        "fig3_smoke.json",
+        r#"{
+  "name": "fig3_smoke",
+  "experiment": "mix_sweep",
+  "params": {
+    "hops": [2, 5],
+    "u_total": 0.50,
+    "mix_start": 25,
+    "mix_stop": 75,
+    "mix_step": 25,
+    "edf_ratio_short": 2.0,
+    "edf_ratio_long": 0.5,
+    "epsilon": 1e-6
+  },
+  "sim": {"reps": 1, "slots": 2000}
+}"#,
+    );
+    let serial = fastest_run(&path, 1);
+    let parallel = fastest_run(&path, 2);
+    println!("fig3 smoke sweep, fastest of 3: {serial:?} at 1 thread, {parallel:?} at 2 threads");
+    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
+    if cpus < 2 {
+        println!("single-CPU machine: the guard is not observable, passing");
+        return;
+    }
+    assert!(
+        parallel.as_secs_f64() <= GUARD_MARGIN * serial.as_secs_f64(),
+        "fig3 smoke sweep is slower at 2 threads ({parallel:?}) than at 1 ({serial:?}) \
+         beyond the {GUARD_MARGIN}x margin"
+    );
 }

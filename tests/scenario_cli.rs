@@ -3,8 +3,8 @@
 //! the solver memo cache actually fires on a sweep.
 //!
 //! The full-size figure scenarios have their own `#[ignore]`d golden
-//! tests in `crates/bench/tests/golden.rs` (release CI step); the CI
-//! scenarios job additionally runs every shipped scenario file.
+//! tests in `tests/golden.rs` (release CI step); the CI scenarios job
+//! additionally runs every shipped scenario file.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
