@@ -12,6 +12,10 @@
 //! 2. solving the optimization problem of Eq. (38) for `d(σ)`,
 //! 3. minimizing numerically over the free rate `γ` (Eq. (32)).
 //!
+//! Step 2 is exact (see [`optimizer::solve`]); step 3 is a grid search
+//! with local refinement. With a [`crate::SolverCache`] enabled, a whole
+//! γ-search is memoized, keyed on the bits of its inputs.
+//!
 //! [`MmooTandem`] adds the outer optimization over the effective-
 //! bandwidth moment parameter `s` for the paper's Markov-modulated
 //! on-off workloads, and the EDF deadline fixed point used in the
@@ -134,12 +138,12 @@ impl TandemPath {
             .collect()
     }
 
-    /// The bit-exact memo key of one `(path, ε, γ)` solver instance.
-    /// Two instances with equal keys feed byte-identical inputs into
-    /// `sigma_for` and `optimizer::solve`, so their results are
-    /// interchangeable. The scheduler enters only through its constant
-    /// Δ — `Fifo` and `Delta(0.0)` deliberately share entries.
-    fn solver_key(&self, epsilon: f64, gamma: f64) -> crate::memo::SolverKey {
+    /// The bit-exact memo key of one `(path, ε)` γ-search. Two
+    /// searches with equal keys feed byte-identical inputs into
+    /// `sigma_for` and `optimizer::solve` at every γ, so their results
+    /// are interchangeable. The scheduler enters only through its
+    /// constant Δ — `Fifo` and `Delta(0.0)` deliberately share entries.
+    fn solver_key(&self, epsilon: f64) -> crate::memo::SolverKey {
         [
             self.capacity.to_bits(),
             self.hops as u64,
@@ -151,7 +155,6 @@ impl TandemPath {
             self.cross.alpha().to_bits(),
             self.scheduler.delta().to_bits(),
             epsilon.to_bits(),
-            gamma.to_bits(),
         ]
     }
 
@@ -160,10 +163,6 @@ impl TandemPath {
     ///
     /// Returns `None` if `γ` is outside `(0, γ_max)` or the optimization
     /// is infeasible.
-    ///
-    /// When the solver memo cache is enabled on this thread (see
-    /// [`crate::enable_solver_cache`]), identical instances are solved
-    /// once and replayed from the cache.
     ///
     /// # Panics
     ///
@@ -174,18 +173,16 @@ impl TandemPath {
             return None;
         }
         tel::counter("core_gamma_evals_total", 1);
-        crate::memo::solve_cached(self.solver_key(epsilon, gamma), || {
-            let cross_nodes = vec![self.cross; self.hops];
-            let sigma = netbound::sigma_for(&self.through, &cross_nodes, gamma, epsilon);
-            let sol = optimizer::solve(&self.node_params(gamma), sigma)?;
-            Some(E2eDelayBound {
-                delay: sol.delay,
-                epsilon,
-                sigma,
-                gamma,
-                x: sol.x,
-                thetas: sol.thetas,
-            })
+        let cross_nodes = vec![self.cross; self.hops];
+        let sigma = netbound::sigma_for(&self.through, &cross_nodes, gamma, epsilon);
+        let sol = optimizer::solve(&self.node_params(gamma), sigma)?;
+        Some(E2eDelayBound {
+            delay: sol.delay,
+            epsilon,
+            sigma,
+            gamma,
+            x: sol.x,
+            thetas: sol.thetas,
         })
     }
 
@@ -194,6 +191,10 @@ impl TandemPath {
     /// refinement over `(0, γ_max)`).
     ///
     /// Returns `None` for unstable paths.
+    ///
+    /// When a [`crate::SolverCache`] is enabled on this thread, a
+    /// γ-search whose inputs are bit-identical to an earlier one is
+    /// answered from the cache.
     ///
     /// # Panics
     ///
@@ -218,6 +219,11 @@ impl TandemPath {
     /// assert!(bound.delay > 0.0);
     /// ```
     pub fn delay_bound(&self, epsilon: f64) -> Option<E2eDelayBound> {
+        crate::memo::solve_cached(self.solver_key(epsilon), || self.gamma_search(epsilon))
+    }
+
+    /// The uncached γ-search behind [`TandemPath::delay_bound`].
+    fn gamma_search(&self, epsilon: f64) -> Option<E2eDelayBound> {
         let _span = tel::span("core.path.delay_bound");
         let _timer = tel::timer("core_delay_bound_seconds");
         tel::counter("core_delay_bound_calls_total", 1);

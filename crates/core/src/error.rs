@@ -18,8 +18,7 @@ pub enum Error {
     /// (a node's effective capacity does not exceed the interfering
     /// cross rate).
     Infeasible,
-    /// The solver hit its guardrails: the objective stayed NaN/∞ even
-    /// after the bisection fallback, so no finite bound exists to
+    /// The bound evaluated to NaN/∞, so no finite bound exists to
     /// report.
     NonFinite(String),
 }

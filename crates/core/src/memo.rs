@@ -1,32 +1,21 @@
-//! Memoization of Eq. (38) solver instances, shareable across threads.
+//! Memoization of whole γ-searches, shareable across threads.
 //!
-//! The γ/s grid searches behind [`TandemPath::delay_bound`] and
-//! [`SourceTandem::optimize_over_s`] re-solve identical optimization
-//! instances constantly: the EDF fixed point starts from the FIFO bound
-//! at the same `(s, γ)` values a FIFO column computed moments earlier,
-//! a utilization sweep revisits the same flow counts for each scheduler,
-//! and the refinement rounds re-evaluate grid points they already saw.
-//! With the cache enabled, an Eq. (38) instance — keyed bit-exactly on
-//! every input of [`TandemPath::delay_bound_at_gamma`] — is solved once
-//! per scenario run.
+//! The analytical sweeps repeat identical γ-searches
+//! ([`TandemPath::delay_bound`]): the EDF fixed point starts from the
+//! FIFO bound at the same moment parameters a FIFO column computed
+//! moments earlier, and the s-search's refinement revisits grid points.
+//! With a cache enabled, a γ-search — keyed bit-exactly on every input
+//! of [`TandemPath::delay_bound`] — runs once per scenario run.
 //!
-//! The cache is **off by default** and scoped to an RAII guard, so
-//! one-shot library callers pay nothing and long-lived processes cannot
-//! leak entries. Two entry points exist:
-//!
-//! - [`enable_solver_cache`] opens a private cache on the current
-//!   thread (a fresh one at the outermost guard, shared by nested
-//!   guards) — the original PR 3 behaviour.
-//! - [`SolverCache::new`] + [`SolverCache::enable`] install an explicit
-//!   handle that can be cloned to other threads, so a parallel sweep
-//!   shares one memo across all its workers. The store is sharded
-//!   (each shard behind its own mutex), so concurrent probes on
-//!   different keys rarely contend.
+//! The cache is **off by default**: [`SolverCache::new`] creates one and
+//! [`SolverCache::enable`] installs it on the current thread until the
+//! returned guard drops, so one-shot library callers pay nothing. The
+//! handle can be cloned to other threads, so a parallel sweep shares
+//! one memo across all its workers ([`current_solver_cache`]).
 //!
 //! Hit/miss counts go to the `nc-telemetry` counters
-//! `core_solver_cache_hits_total` / `core_solver_cache_misses_total`,
-//! accumulate per thread ([`solver_cache_stats`]), and per cache handle
-//! ([`SolverCache::stats`]).
+//! `core_solver_cache_hits_total` / `core_solver_cache_misses_total`
+//! and to the handle ([`SolverCache::stats`]).
 //!
 //! Keys are the *bit patterns* of the inputs, so a hit can only occur
 //! for byte-identical parameters and returns a byte-identical result —
@@ -36,8 +25,6 @@
 //! wins without changing what any caller observed.
 //!
 //! [`TandemPath::delay_bound`]: crate::TandemPath::delay_bound
-//! [`TandemPath::delay_bound_at_gamma`]: crate::TandemPath::delay_bound_at_gamma
-//! [`SourceTandem::optimize_over_s`]: crate::SourceTandem::optimize_over_s
 
 use crate::e2e::E2eDelayBound;
 use nc_telemetry as tel;
@@ -47,33 +34,17 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Bit-exact cache key: capacity, hops, through EBB `(M, ρ, α)`, cross
-/// EBB `(M, ρ, α)`, scheduler constant Δ, ε, γ.
-pub(crate) type SolverKey = [u64; 11];
-
-/// Number of independently locked shards. A small power of two keeps
-/// the modulo cheap while spreading 8–16 workers across distinct locks.
-const SHARDS: usize = 16;
-
-/// Mixes the key words into a shard index. Any fixed mixing works —
-/// the only requirement is determinism and rough uniformity.
-fn shard_of(key: &SolverKey) -> usize {
-    let mut h: u64 = 0x9e37_79b9_7f4a_7c15;
-    for &w in key {
-        h = (h ^ w).wrapping_mul(0xff51_afd7_ed55_8ccd);
-        h ^= h >> 33;
-    }
-    (h as usize) % SHARDS
-}
+/// EBB `(M, ρ, α)`, scheduler constant Δ, ε.
+pub(crate) type SolverKey = [u64; 10];
 
 struct CacheInner {
-    shards: Vec<Mutex<HashMap<SolverKey, Option<E2eDelayBound>>>>,
+    map: Mutex<HashMap<SolverKey, Option<E2eDelayBound>>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
 
-/// A sharded, thread-safe Eq. (38) solver memo. Cloning the handle is
-/// cheap and shares the underlying store; entries are freed when the
-/// last handle drops.
+/// A thread-safe γ-search memo. Cloning the handle is cheap and shares
+/// the underlying store; entries are freed when the last handle drops.
 ///
 /// Install it on a thread with [`SolverCache::enable`]; a parallel
 /// sweep clones the handle into each worker so all workers populate
@@ -103,10 +74,9 @@ impl Default for SolverCache {
 impl SolverCache {
     /// Creates an empty cache.
     pub fn new() -> Self {
-        let shards = (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect();
         SolverCache {
             inner: Arc::new(CacheInner {
-                shards,
+                map: Mutex::new(HashMap::new()),
                 hits: AtomicU64::new(0),
                 misses: AtomicU64::new(0),
             }),
@@ -117,7 +87,7 @@ impl SolverCache {
     /// guard drops. Guards nest and stack: lookups go to the most
     /// recently enabled cache.
     pub fn enable(&self) -> SolverCacheGuard {
-        LOCAL.with(|l| l.borrow_mut().stack.push(self.clone()));
+        STACK.with(|s| s.borrow_mut().push(self.clone()));
         SolverCacheGuard { _not_send: std::marker::PhantomData }
     }
 
@@ -130,9 +100,9 @@ impl SolverCache {
         }
     }
 
-    /// Number of memoized solver instances.
+    /// Number of memoized γ-searches.
     pub fn len(&self) -> usize {
-        self.inner.shards.iter().map(|s| s.lock().expect("solver cache poisoned").len()).sum()
+        self.map().len()
     }
 
     /// Whether the cache holds no entries.
@@ -140,26 +110,14 @@ impl SolverCache {
         self.len() == 0
     }
 
-    fn get(&self, key: &SolverKey) -> Option<Option<E2eDelayBound>> {
-        self.inner.shards[shard_of(key)].lock().expect("solver cache poisoned").get(key).cloned()
+    fn map(&self) -> std::sync::MutexGuard<'_, HashMap<SolverKey, Option<E2eDelayBound>>> {
+        self.inner.map.lock().expect("solver cache poisoned")
     }
-
-    fn insert(&self, key: SolverKey, value: Option<E2eDelayBound>) {
-        self.inner.shards[shard_of(&key)].lock().expect("solver cache poisoned").insert(key, value);
-    }
-}
-
-struct LocalState {
-    /// Caches installed on this thread, innermost last.
-    stack: Vec<SolverCache>,
-    /// Per-thread cumulative probe counts, across all guard scopes.
-    hits: u64,
-    misses: u64,
 }
 
 thread_local! {
-    static LOCAL: RefCell<LocalState> =
-        const { RefCell::new(LocalState { stack: Vec::new(), hits: 0, misses: 0 }) };
+    /// Caches installed on this thread, innermost last.
+    static STACK: RefCell<Vec<SolverCache>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Cumulative hit/miss counts of a solver cache.
@@ -167,58 +125,30 @@ thread_local! {
 pub struct SolverCacheStats {
     /// Lookups answered from the cache.
     pub hits: u64,
-    /// Lookups that fell through to the solver (while enabled).
+    /// Lookups that fell through to the γ-search (while enabled).
     pub misses: u64,
 }
 
 /// RAII guard holding a solver memo cache open on the current thread;
-/// see [`enable_solver_cache`] and [`SolverCache::enable`].
+/// see [`SolverCache::enable`].
 #[derive(Debug)]
 pub struct SolverCacheGuard {
     _not_send: std::marker::PhantomData<*const ()>,
 }
 
-/// Enables a solver memo cache on the current thread until the returned
-/// guard is dropped. The outermost guard opens a fresh private cache;
-/// nested guards share it, so entries survive inner guards and are
-/// freed when the outermost guard drops. Hit/miss statistics accumulate
-/// across guard scopes (see [`solver_cache_stats`]).
-///
-/// To share one cache across threads, use [`SolverCache::enable`]
-/// instead.
-pub fn enable_solver_cache() -> SolverCacheGuard {
-    LOCAL.with(|l| {
-        let mut l = l.borrow_mut();
-        let cache = match l.stack.last() {
-            Some(top) => top.clone(),
-            None => SolverCache::new(),
-        };
-        l.stack.push(cache);
-    });
-    SolverCacheGuard { _not_send: std::marker::PhantomData }
-}
-
 impl Drop for SolverCacheGuard {
     fn drop(&mut self) {
-        LOCAL.with(|l| {
-            l.borrow_mut().stack.pop();
+        STACK.with(|s| {
+            s.borrow_mut().pop();
         });
     }
-}
-
-/// Cumulative solver-cache probe statistics of the current thread.
-pub fn solver_cache_stats() -> SolverCacheStats {
-    LOCAL.with(|l| {
-        let l = l.borrow();
-        SolverCacheStats { hits: l.hits, misses: l.misses }
-    })
 }
 
 /// The cache currently installed on this thread, if any. A parallel
 /// engine captures this before spawning workers so every worker can
 /// [`SolverCache::enable`] the same store.
 pub fn current_solver_cache() -> Option<SolverCache> {
-    LOCAL.with(|l| l.borrow().stack.last().cloned())
+    STACK.with(|s| s.borrow().last().cloned())
 }
 
 /// Looks up `key`, or computes, records, and returns the value. With no
@@ -227,45 +157,22 @@ pub(crate) fn solve_cached(
     key: SolverKey,
     compute: impl FnOnce() -> Option<E2eDelayBound>,
 ) -> Option<E2eDelayBound> {
-    enum Probe {
-        Disabled,
-        Hit(Option<E2eDelayBound>),
-        Miss(SolverCache),
+    let Some(cache) = current_solver_cache() else {
+        return compute();
+    };
+    let hit = cache.map().get(&key).cloned();
+    if let Some(v) = hit {
+        cache.inner.hits.fetch_add(1, Ordering::Relaxed);
+        tel::counter("core_solver_cache_hits_total", 1);
+        return v;
     }
-    let probe = LOCAL.with(|l| {
-        let mut l = l.borrow_mut();
-        let Some(cache) = l.stack.last().cloned() else {
-            return Probe::Disabled;
-        };
-        match cache.get(&key) {
-            Some(v) => {
-                l.hits += 1;
-                cache.inner.hits.fetch_add(1, Ordering::Relaxed);
-                Probe::Hit(v)
-            }
-            None => {
-                l.misses += 1;
-                cache.inner.misses.fetch_add(1, Ordering::Relaxed);
-                Probe::Miss(cache)
-            }
-        }
-    });
-    match probe {
-        Probe::Disabled => compute(),
-        Probe::Hit(v) => {
-            tel::counter("core_solver_cache_hits_total", 1);
-            v
-        }
-        Probe::Miss(cache) => {
-            tel::counter("core_solver_cache_misses_total", 1);
-            // No lock is held around `compute`, so nested delay-bound
-            // evaluations (if any) can probe freely, and a slow solve
-            // never blocks other shards' readers.
-            let v = compute();
-            cache.insert(key, v.clone());
-            v
-        }
-    }
+    cache.inner.misses.fetch_add(1, Ordering::Relaxed);
+    tel::counter("core_solver_cache_misses_total", 1);
+    // No lock is held around `compute`, so a slow search never blocks
+    // other threads' probes.
+    let v = compute();
+    cache.map().insert(key, v.clone());
+    v
 }
 
 #[cfg(test)]
@@ -284,8 +191,9 @@ mod tests {
     fn cache_returns_identical_bounds() {
         let p = path(PathScheduler::Fifo);
         let plain = p.delay_bound(1e-9).unwrap();
+        let cache = SolverCache::new();
         let (cached_cold, cached_warm) = {
-            let _guard = enable_solver_cache();
+            let _guard = cache.enable();
             (p.delay_bound(1e-9).unwrap(), p.delay_bound(1e-9).unwrap())
         };
         assert_eq!(plain, cached_cold, "cold cache must not change the result");
@@ -294,50 +202,26 @@ mod tests {
 
     #[test]
     fn repeat_evaluation_hits() {
-        let before = solver_cache_stats();
         let p = path(PathScheduler::Fifo);
-        let _guard = enable_solver_cache();
+        let cache = SolverCache::new();
+        let _guard = cache.enable();
         let _ = p.delay_bound(1e-9);
-        let mid = solver_cache_stats();
-        assert!(mid.misses > before.misses, "first run must populate the cache");
+        assert_eq!(cache.stats(), SolverCacheStats { hits: 0, misses: 1 });
         let _ = p.delay_bound(1e-9);
-        let after = solver_cache_stats();
-        assert!(
-            after.hits >= mid.hits + (mid.misses - before.misses),
-            "second identical run must be answered from the cache: {after:?} vs {mid:?}"
+        assert_eq!(
+            cache.stats(),
+            SolverCacheStats { hits: 1, misses: 1 },
+            "a second identical γ-search must be answered from the cache"
         );
     }
 
     #[test]
     fn disabled_cache_records_nothing() {
-        let before = solver_cache_stats();
-        let p = path(PathScheduler::Bmux);
-        let _ = p.delay_bound(1e-6);
-        let after = solver_cache_stats();
-        assert_eq!((before.hits, before.misses), (after.hits, after.misses));
-    }
-
-    #[test]
-    fn entries_are_freed_when_outermost_guard_drops() {
-        let p = path(PathScheduler::Fifo);
-        {
-            let _outer = enable_solver_cache();
-            {
-                let _inner = enable_solver_cache();
-                let _ = p.delay_bound(1e-9);
-            }
-            // Still enabled: the inner guard's entries survive.
-            let before = solver_cache_stats();
-            let _ = p.delay_bound(1e-9);
-            let after = solver_cache_stats();
-            assert!(after.hits > before.hits, "entries must survive the inner guard");
-        }
-        // Fully disabled and cleared: a fresh guard starts cold.
-        let _guard = enable_solver_cache();
-        let before = solver_cache_stats();
-        let _ = p.delay_bound(1e-9);
-        let after = solver_cache_stats();
-        assert!(after.misses > before.misses, "dropped guard must clear entries");
+        let cache = SolverCache::new();
+        drop(cache.enable());
+        let _ = path(PathScheduler::Bmux).delay_bound(1e-6);
+        assert_eq!(cache.stats(), SolverCacheStats::default());
+        assert!(cache.is_empty());
     }
 
     #[test]
@@ -422,15 +306,9 @@ mod tests {
             }
         }
         let stats = cache.stats();
+        assert_eq!(cache.len(), reference.len(), "one entry per distinct γ-search");
+        assert_eq!(stats.hits + stats.misses, 8 * 3 * reference.len() as u64, "{stats:?}");
         assert!(stats.hits > 0, "overlapping keys must produce hits: {stats:?}");
-        assert!(stats.misses > 0, "cold keys must produce misses: {stats:?}");
-        // Every probe is either a hit or a miss; the handle's counters
-        // must account for exactly the probes made against it.
-        let per_thread_total: u64 = stats.hits + stats.misses;
-        assert!(
-            per_thread_total >= cache.len() as u64,
-            "at least one probe per distinct entry: {stats:?} vs {} entries",
-            cache.len()
-        );
+        assert!(stats.misses >= cache.len() as u64, "every entry was a miss once: {stats:?}");
     }
 }

@@ -28,7 +28,80 @@ fn feasible_params() -> impl Strategy<Value = (Vec<NodeParams>, f64)> {
         })
 }
 
+/// Δ drawn from {−∞, [−20, 0), 0, (0, 20], +∞}.
+fn any_delta() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        Just(f64::NEG_INFINITY),
+        -20.0f64..0.0,
+        Just(0.0),
+        1e-9f64..=20.0,
+        Just(f64::INFINITY)
+    ]
+}
+
+/// One node with its own capacity, cross rate and Δ. The service margin
+/// `c_eff − r` ranges from 95% of `c_eff` down to `1e-12·c_eff`; at a
+/// priority node (Δ = −∞) the cross rate may also exceed `c_eff`.
+fn any_node() -> impl Strategy<Value = NodeParams> {
+    let margin = prop_oneof![1e-12f64..1e-9, 1e-6f64..1e-3, 1e-3f64..0.95, -1.0f64..-1e-3];
+    (1.0f64..100.0, margin, any_delta()).prop_map(|(c_eff, frac, delta)| {
+        let frac = if delta == f64::NEG_INFINITY { frac } else { frac.abs() };
+        NodeParams { c_eff, r: c_eff * (1.0 - frac), delta }
+    })
+}
+
+/// Random heterogeneous nodes (all feasible) and a slack `σ`.
+fn hetero_params() -> impl Strategy<Value = (Vec<NodeParams>, f64)> {
+    (prop::collection::vec(any_node(), 1..=8), 0.01f64..5000.0)
+}
+
+/// The `X` at which node `p`'s `θ_h(X)` reaches 0: the smallest `X`
+/// with `c·X − r·[X + Δ]₊ ≥ σ` (the left side is increasing in `X`).
+fn theta_zero_at(p: &NodeParams, sigma: f64) -> f64 {
+    if p.delta >= 0.0 {
+        sigma / (p.c_eff - p.r)
+    } else if p.delta == f64::NEG_INFINITY {
+        sigma / p.c_eff
+    } else {
+        (sigma / p.c_eff).max((sigma + p.r * p.delta) / (p.c_eff - p.r))
+    }
+}
+
 proptest! {
+    #[test]
+    fn exact_solver_matches_a_dense_scan((params, sigma) in hetero_params()) {
+        let sol = solve(&params, sigma).expect("feasible by construction");
+        // Past the largest breakpoint every θ_h is 0 and d(X) = X grows,
+        // so scanning [0, 1.1·that] uniformly and geometrically covers
+        // every candidate minimum.
+        let top = params.iter().map(|p| theta_zero_at(p, sigma)).fold(0.0f64, f64::max);
+        prop_assert!(top.is_finite() && top > 0.0, "largest breakpoint {top}");
+        let hi = 1.1 * top;
+        let uniform = (0..=2000).map(|i| hi * i as f64 / 2000.0);
+        let geometric = (0..=1000).map(|i| hi * 1e-9f64.powf(i as f64 / 1000.0));
+        let (best_x, best) = uniform
+            .chain(geometric)
+            .map(|x| (x, objective_check(x, &params, sigma)))
+            .fold((0.0, f64::INFINITY), |a, b| if b.1 < a.1 { b } else { a });
+        prop_assert!(sol.delay <= best * (1.0 + 1e-9),
+            "solve {} (X = {}) above scan minimum {best} at X = {best_x}", sol.delay, sol.x);
+    }
+
+    #[test]
+    fn exact_solver_returns_feasible_thetas((params, sigma) in hetero_params()) {
+        let sol = solve(&params, sigma).expect("feasible by construction");
+        prop_assert!(sol.x >= 0.0 && sol.x.is_finite(), "X = {}", sol.x);
+        for (p, &th) in params.iter().zip(&sol.thetas) {
+            prop_assert!(th >= 0.0 && th.is_finite(), "θ = {th}");
+            let served = p.c_eff * (sol.x + th);
+            let lhs = served - p.r * (sol.x + p.delta.min(th)).max(0.0);
+            // Rounding scales with the largest term, not with σ.
+            prop_assert!(lhs >= sigma - 1e-9 * (sigma + served),
+                "node {p:?} violated: lhs = {lhs}, σ = {sigma}, X = {}, θ = {th}", sol.x);
+        }
+        prop_assert_eq!(sol.delay, sol.x + sol.thetas.iter().sum::<f64>());
+    }
+
     #[test]
     fn solver_solutions_are_feasible((params, sigma) in feasible_params()) {
         let sol = solve(&params, sigma).expect("feasible by construction");

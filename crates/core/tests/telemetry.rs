@@ -28,8 +28,11 @@ fn delay_bound_records_counters_timings_and_nested_spans() {
     let counter = |name: &str| snap.counter_value(name, &[]);
     assert!(counter("core_delay_bound_calls_total") > 0);
     assert!(counter("core_solver_calls_total") > 0);
-    // Every successful solve performs at least the 193-point coarse grid.
-    assert!(counter("core_solver_evals_total") >= 193 * counter("core_solver_calls_total") / 2);
+    // The exact solver evaluates d(X) at X = 0, at up to two
+    // breakpoints per node and once more at the optimum: at least once
+    // and at most 2H + 2 times per solve (H = 2 here).
+    let (calls, evals) = (counter("core_solver_calls_total"), counter("core_solver_evals_total"));
+    assert!(calls <= evals && evals <= (2 * 2 + 2) * calls, "{evals} evals over {calls} solves");
     assert!(counter("core_gamma_evals_total") > 0);
     assert!(counter("core_netbound_sigma_calls_total") == counter("core_gamma_evals_total"));
     assert!(counter("core_s_evals_total") > 0);

@@ -16,10 +16,10 @@ pub struct RunSummary {
     /// Merged delay statistics, for experiments that simulate
     /// (`simulate`; the figure overlays report inline instead).
     pub delay_stats: Option<DelayStats>,
-    /// Solver memo-cache activity during this run, summed across the
+    /// γ-search memo-cache activity during this run, summed across the
     /// main thread and every sweep worker (hits > 0 whenever the
-    /// experiment revisits an Eq. (38) instance, e.g. any sweep with
-    /// both FIFO and EDF columns).
+    /// experiment repeats a γ-search, e.g. any sweep with both FIFO and
+    /// EDF columns).
     pub cache: SolverCacheStats,
 }
 
@@ -67,10 +67,9 @@ impl Engine {
     /// and an infeasible analysis onto distinct exit codes.
     pub fn run(self) -> Result<RunSummary, Error> {
         let artifacts = RunArtifacts::begin(&self.scenario.name, &self.opts);
-        // An explicit handle rather than `enable_solver_cache()`: the
-        // parallel sweep engine picks the current cache up and shares
-        // it across its workers, and the handle's stats cover every
-        // worker's probes — a thread-local delta would not.
+        // The parallel sweep engine picks the current cache up and
+        // shares it across its workers, so the handle's stats cover
+        // every worker's probes.
         let cache = nc_core::SolverCache::new();
         let guard = cache.enable();
         if let Some(title) = &self.scenario.title {

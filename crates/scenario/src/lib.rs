@@ -4,7 +4,7 @@
 //! A [`Scenario`] is one JSON document describing an experiment —
 //! topology, MMOO traffic mix, schedulers, analysis options, and the
 //! Monte Carlo overlay defaults. The [`Engine`] runs it through one
-//! code path: analysis (with the `nc-core` solver memo cache enabled
+//! code path: analysis (with the `nc-core` γ-search memo cache enabled
 //! for the duration of the run), the optional simulation overlay, and
 //! the telemetry artifacts of [`RunArtifacts`].
 //!
@@ -29,7 +29,7 @@
 //! .unwrap();
 //! let opts = Engine::default_opts(&scenario);
 //! let summary = Engine::new(scenario, opts).run().unwrap();
-//! assert!(summary.cache.misses > 0); // the grid search hit the solver
+//! assert!(summary.cache.misses > 0); // the γ-search ran once, uncached
 //! ```
 
 #![forbid(unsafe_code)]

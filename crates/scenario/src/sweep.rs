@@ -70,8 +70,8 @@ impl SweepEngine {
     /// no locking).
     ///
     /// Workers install the solver cache that is current on the calling
-    /// thread, so a surrounding [`nc_core::SolverCache::enable`] (or
-    /// `enable_solver_cache`) scope is shared by the whole sweep.
+    /// thread, so a surrounding [`nc_core::SolverCache::enable`] scope
+    /// is shared by the whole sweep.
     ///
     /// # Panics
     ///

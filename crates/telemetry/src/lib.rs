@@ -8,8 +8,9 @@
 //! * **enabled** — counters/gauges/histograms record into either a
 //!   local [`MetricSet`] shard (hot paths, merged deterministically
 //!   like `nc-sim`'s `DelayStats`) or the process-global registry
-//!   ([`counter`], [`observe`], [`timer`]); [`span`] guards append to a
-//!   bounded trace buffer.
+//!   ([`counter`], [`observe`], [`timer`]), which keeps one shard per
+//!   thread so recording threads never contend; [`span`] guards append
+//!   to a bounded trace buffer.
 //! * **disabled** (default) — every recording call is an inlineable
 //!   no-op with no clock reads, locks, or allocation; the exporters and
 //!   [`RunManifest`] still work (they emit empty metric sections), so
@@ -69,15 +70,36 @@ pub use spans::{
     DEFAULT_TRACE_CAPACITY,
 };
 
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 /// Whether the `enabled` feature was compiled in.
 pub const ENABLED: bool = cfg!(feature = "enabled");
 
-fn global() -> &'static Mutex<MetricSet> {
-    static GLOBAL: OnceLock<Mutex<MetricSet>> = OnceLock::new();
-    GLOBAL.get_or_init(|| Mutex::new(MetricSet::new()))
+/// One thread's part of the process-global registry.
+type Shard = Arc<Mutex<MetricSet>>;
+
+/// Every shard ever created, in registration order. A shard outlives
+/// its thread, so what a worker recorded stays in the snapshot.
+fn shards() -> &'static Mutex<Vec<Shard>> {
+    static SHARDS: OnceLock<Mutex<Vec<Shard>>> = OnceLock::new();
+    SHARDS.get_or_init(|| Mutex::new(Vec::new()))
+}
+
+thread_local! {
+    static LOCAL: Shard = {
+        let shard = Shard::default();
+        shards().lock().expect("shard list poisoned").push(Arc::clone(&shard));
+        shard
+    };
+}
+
+/// Records into the calling thread's shard. Only [`global_snapshot`]
+/// and [`reset_global`] ever lock it from another thread, so recording
+/// threads never wait on each other. A record made while the thread's
+/// locals are being torn down is dropped.
+fn record(f: impl FnOnce(&mut MetricSet)) {
+    let _ = LOCAL.try_with(|shard| f(&mut shard.lock().expect("metric shard poisoned")));
 }
 
 /// Adds to an unlabelled counter in the process-global registry.
@@ -86,7 +108,7 @@ pub fn counter(name: &str, n: u64) {
     if !ENABLED {
         return;
     }
-    global().lock().expect("metric registry poisoned").counter_add(name, &[], n);
+    record(|m| m.counter_add(name, &[], n));
 }
 
 /// Adds to a labelled counter in the process-global registry.
@@ -95,16 +117,18 @@ pub fn counter_labeled(name: &str, labels: &[(&str, &str)], n: u64) {
     if !ENABLED {
         return;
     }
-    global().lock().expect("metric registry poisoned").counter_add(name, labels, n);
+    record(|m| m.counter_add(name, labels, n));
 }
 
-/// Sets a gauge in the process-global registry.
+/// Sets a gauge in the process-global registry. Each thread keeps its
+/// own value; the snapshot reports the largest (see
+/// [`MetricSet::merge`]).
 #[inline]
 pub fn gauge(name: &str, v: f64) {
     if !ENABLED {
         return;
     }
-    global().lock().expect("metric registry poisoned").gauge_set(name, &[], v);
+    record(|m| m.gauge_set(name, &[], v));
 }
 
 /// Records a histogram sample in the process-global registry.
@@ -113,7 +137,7 @@ pub fn observe(name: &str, v: f64) {
     if !ENABLED {
         return;
     }
-    global().lock().expect("metric registry poisoned").observe(name, &[], v);
+    record(|m| m.observe(name, &[], v));
 }
 
 /// Merges a metric shard into the process-global registry.
@@ -121,17 +145,24 @@ pub fn merge_global(shard: &MetricSet) {
     if !ENABLED || shard.is_empty() {
         return;
     }
-    global().lock().expect("metric registry poisoned").merge(shard);
+    record(|m| m.merge(shard));
 }
 
-/// A snapshot of the process-global registry.
+/// A snapshot of the process-global registry: every thread's shard,
+/// merged in registration order.
 pub fn global_snapshot() -> MetricSet {
-    global().lock().expect("metric registry poisoned").clone()
+    let mut out = MetricSet::new();
+    for shard in shards().lock().expect("shard list poisoned").iter() {
+        out.merge(&shard.lock().expect("metric shard poisoned"));
+    }
+    out
 }
 
 /// Clears the process-global registry (tests).
 pub fn reset_global() {
-    *global().lock().expect("metric registry poisoned") = MetricSet::new();
+    for shard in shards().lock().expect("shard list poisoned").iter() {
+        *shard.lock().expect("metric shard poisoned") = MetricSet::new();
+    }
 }
 
 /// Starts a wall-time timer that records its elapsed seconds into the
@@ -160,10 +191,13 @@ impl Drop for Timer {
 mod tests {
     use super::*;
 
-    // Global-registry tests share one process-wide registry; keep them
-    // in a single #[test] to avoid cross-test interference.
+    /// The registry is process-wide: tests that reset it hold this lock
+    /// so parallel test threads cannot interleave.
+    static REGISTRY: Mutex<()> = Mutex::new(());
+
     #[test]
     fn global_registry_accumulates_and_resets() {
+        let _lock = REGISTRY.lock().unwrap();
         reset_global();
         counter("t_calls_total", 2);
         counter_labeled("t_calls_total", &[("kind", "x")], 1);
@@ -187,5 +221,35 @@ mod tests {
         }
         reset_global();
         assert!(global_snapshot().is_empty());
+    }
+
+    #[cfg(feature = "enabled")]
+    #[test]
+    fn thread_shards_merge_into_the_snapshot() {
+        let _lock = REGISTRY.lock().unwrap();
+        reset_global();
+        std::thread::scope(|scope| {
+            for (n, v) in [(2u64, 0.5f64), (3, 4.0)] {
+                scope.spawn(move || {
+                    counter("t_shard_total", n);
+                    counter_labeled("t_shard_labeled_total", &[("kind", "y")], n);
+                    observe("t_shard_seconds", v);
+                });
+            }
+        });
+        counter("t_shard_total", 1);
+        let snap = global_snapshot();
+        assert_eq!(snap.counter_value("t_shard_total", &[]), 6);
+        assert_eq!(snap.counter_value("t_shard_labeled_total", &[("kind", "y")]), 5);
+        match snap.get("t_shard_seconds", &[]) {
+            Some(MetricValue::Histogram(h)) => {
+                assert_eq!(h.count(), 2);
+                assert_eq!(h.sum(), 4.5);
+                assert_eq!((h.min(), h.max()), (Some(0.5), Some(4.0)));
+            }
+            other => panic!("histogram missing from the snapshot: {other:?}"),
+        }
+        reset_global();
+        assert!(global_snapshot().is_empty(), "reset must clear every thread's shard");
     }
 }

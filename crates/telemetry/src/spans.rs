@@ -32,10 +32,10 @@ pub struct SpanEvent {
     pub depth: u32,
 }
 
-/// Default cap on buffered span events. Dense instrumentation (one
-/// span per `optimizer::solve` call) produces tens of thousands of
-/// events per `validate` cell; the cap bounds memory and trace size
-/// while [`dropped_spans`] keeps the truncation visible.
+/// Default cap on buffered span events. Dense instrumentation (three
+/// spans per γ-search) produces hundreds of thousands of events per
+/// figure run; the cap bounds memory and trace size while
+/// [`dropped_spans`] keeps the truncation visible.
 pub const DEFAULT_TRACE_CAPACITY: usize = 200_000;
 
 struct TraceBuf {

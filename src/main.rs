@@ -12,7 +12,7 @@
 //!
 //! Every command builds a [`nc_scenario::Scenario`] and runs it through
 //! [`nc_scenario::Engine`], so the analysis, the Monte Carlo overlay,
-//! the Eq. (38) solver memo cache, and the telemetry artifacts behave
+//! the γ-search memo cache, and the telemetry artifacts behave
 //! identically everywhere. `run` executes a declarative scenario file
 //! (see `examples/scenarios/`); it is the one way to regenerate the
 //! paper's figures (`fig2.json`, `fig3.json`, `fig4.json`) and the

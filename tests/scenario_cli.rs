@@ -51,6 +51,7 @@ impl Scratch {
         self.0.join(name).to_string_lossy().into_owned()
     }
 
+    #[cfg(feature = "telemetry")]
     fn read(&self, name: &str) -> String {
         std::fs::read_to_string(self.0.join(name)).unwrap_or_else(|e| panic!("read {name}: {e}"))
     }
